@@ -595,8 +595,10 @@ fn verify_legacy(cols: &mut [&mut [f64]], cs: &BlockChecksums) -> VerifyOutcome 
                     col: block.col + bad_cols[0],
                     kind: VerifyEventKind::Corrected1dRow,
                 });
-            } else if bad_cols.len() == 1 {
-                // One corrupted column spanning several rows.
+            } else if bad_cols.len() == 1 && !bad_rows.is_empty() {
+                // One corrupted column spanning several rows. (A lone column mismatch
+                // with every row consistent is a struck stored column checksum: it
+                // falls through to the uncorrectable branch, data untouched.)
                 let j = bad_cols[0];
                 for &i in &bad_rows {
                     let d = stored_rows.sum()[i] - actual_rows.sum()[i];
@@ -994,6 +996,25 @@ mod tests {
         assert_eq!(out.corrected_1d, 1);
         assert_eq!(out.uncorrectable, 0);
         assert!(m.approx_eq(&original, 1e-9));
+    }
+
+    #[test]
+    fn full_reports_a_struck_column_checksum_without_touching_data() {
+        // One stored column sum disagrees while every row checksum agrees: the
+        // check vector itself was struck. The decoder must flag that column as
+        // uncorrectable (so recovery recomputes the tile) instead of panicking.
+        let (mut m, block) = setup(8);
+        let original = m.clone();
+        let mut cs = encode_block(&m, block, ChecksumScheme::Full);
+        cs.columns.as_mut().unwrap().checks[0][3] += 10.0;
+        let out = verify_and_correct(&mut m, &cs);
+        assert_eq!(out.uncorrectable, 1);
+        assert_eq!(out.total_corrected(), 0);
+        assert_eq!(
+            out.events,
+            vec![VerifyEvent { row: 0, col: 3, kind: VerifyEventKind::Uncorrectable }]
+        );
+        assert_eq!(m, original, "data must be left untouched");
     }
 
     #[test]

@@ -25,6 +25,15 @@
 //! unfused runs (absent corrections) at every thread count. The shared tally is a
 //! `Mutex`-guarded merge of per-task [`VerifyOutcome`]s — commutative counters, so the
 //! merge order does not matter.
+//!
+//! Mixed precision: the hook also implements `TrailingHook<f32>`, so the f32 DAG
+//! drivers of the mixed-precision path carry the same protection, fault plan and
+//! recovery ladder. The *protection* stays in f64 — verifying against f32 checksums
+//! would fold the detection threshold into f32 round-off — so each f32 tile is
+//! promoted to f64 (exact), run through the f64 body above, and demoted back (a
+//! correction is exact up to half an f32 ulp). Promotion screens for non-finite
+//! values: an f32 accumulation blowup is not locatable by the code, so the tile is
+//! tallied as one uncorrectable event and left untouched.
 
 use crate::checksum::{
     checksum_guard, encode_block_slices, encode_column_checksums_slices,
@@ -35,6 +44,7 @@ use crate::inject::{
     corrupt_checksums, inject_burst_slices, inject_fault_slices, inject_grid_slices, InjectedFault,
 };
 use crate::recover::{FaultSite, RecoveryTracker};
+use bsr_linalg::elem::Element;
 use bsr_linalg::matrix::Block;
 use bsr_linalg::task::{TileVerdict, TrailingHook};
 use hetero_sim::sdc::ErrorPattern;
@@ -221,6 +231,73 @@ impl FusedTileChecksums {
     pub fn checksum_seconds(&self) -> f64 {
         self.checksum_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
+
+    /// The panel-targeted faults planned for the panel whose first column is `col0`.
+    fn panel_faults(&self, col0: usize) -> Vec<&PlannedFault> {
+        self.faults
+            .iter()
+            .filter(|f| f.target == FaultTarget::Panel && f.col == col0)
+            .collect()
+    }
+
+    /// The f32 adapter: promote `cols` to f64 (exact), screening for non-finite
+    /// values, run the shared f64 `body` on the copy, then demote the result back.
+    /// The promote/demote copies exist only for protection, so they are charged to
+    /// checksum time (unless the scheme is `None`: injection alone is not ABFT work).
+    fn promoted(
+        &self,
+        col0: usize,
+        row0: usize,
+        cols: &mut [&mut [f32]],
+        body: impl FnOnce(&mut [&mut [f64]]) -> TileVerdict,
+    ) -> TileVerdict {
+        let charged = |t0: Instant| {
+            if self.scheme == ChecksumScheme::None { 0 } else { t0.elapsed().as_nanos() as u64 }
+        };
+        let t0 = Instant::now();
+        let mut finite = true;
+        let mut wide: Vec<Vec<f64>> = cols
+            .iter()
+            .map(|c| {
+                c.iter()
+                    .map(|&v| {
+                        finite &= v.is_finite();
+                        f64::from(v)
+                    })
+                    .collect()
+            })
+            .collect();
+        if !finite {
+            // A blowup is an f32 range failure, not a strike: recomputing the tile
+            // would reproduce it, so it is tallied without a recovery verdict, and
+            // the failed refinement then sends the run to its f64 fallback.
+            self.tally.lock().unwrap().merge(&VerifyOutcome {
+                uncorrectable: 1,
+                events: vec![VerifyEvent {
+                    row: row0,
+                    col: col0,
+                    kind: VerifyEventKind::Uncorrectable,
+                }],
+                ..VerifyOutcome::default()
+            });
+            self.checksum_nanos.fetch_add(charged(t0), Ordering::Relaxed);
+            return TileVerdict::Accept;
+        }
+        let mut nanos = charged(t0);
+        let verdict = {
+            let mut views: Vec<&mut [f64]> = wide.iter_mut().map(Vec::as_mut_slice).collect();
+            body(&mut views)
+        };
+        let t0 = Instant::now();
+        for (col, src) in cols.iter_mut().zip(&wide) {
+            for (dst, &v) in col.iter_mut().zip(src) {
+                *dst = v as f32;
+            }
+        }
+        nanos += charged(t0);
+        self.checksum_nanos.fetch_add(nanos, Ordering::Relaxed);
+        verdict
+    }
 }
 
 impl TrailingHook for FusedTileChecksums {
@@ -344,11 +421,7 @@ impl TrailingHook for FusedTileChecksums {
         // overhead, and recovery restores + refactors rather than correcting in
         // place (the refactored panel is bit-identical to a clean one; an ABFT
         // "correction" of reflectors/pivot columns would not be).
-        let pfaults: Vec<&PlannedFault> = self
-            .faults
-            .iter()
-            .filter(|f| f.target == FaultTarget::Panel && f.col == col0)
-            .collect();
+        let pfaults = self.panel_faults(col0);
         if pfaults.is_empty() || cols.is_empty() || cols[0].is_empty() {
             return TileVerdict::Accept;
         }
@@ -393,6 +466,45 @@ impl TrailingHook for FusedTileChecksums {
 
     fn wants_snapshots(&self) -> bool {
         self.recovery.as_ref().is_some_and(|tr| tr.policy().enabled)
+    }
+}
+
+/// The mixed-precision rung: f32 tiles are promoted to f64, run through the f64
+/// body above and demoted back (see the module docs), skipping the copies whenever
+/// the f64 body would return early.
+impl TrailingHook<f32> for FusedTileChecksums {
+    fn after_tile_update(
+        &self,
+        iter: usize,
+        col0: usize,
+        row0: usize,
+        cols: &mut [&mut [f32]],
+    ) -> TileVerdict {
+        if self.scheme == ChecksumScheme::None && self.faults.is_empty() {
+            return TileVerdict::Accept;
+        }
+        self.promoted(col0, row0, cols, |wide| {
+            self.after_tile_update(iter, col0, row0, wide)
+        })
+    }
+
+    fn after_panel_factor(
+        &self,
+        iter: usize,
+        col0: usize,
+        row0: usize,
+        cols: &mut [&mut [f32]],
+    ) -> TileVerdict {
+        if self.panel_faults(col0).is_empty() {
+            return TileVerdict::Accept;
+        }
+        self.promoted(col0, row0, cols, |wide| {
+            self.after_panel_factor(iter, col0, row0, wide)
+        })
+    }
+
+    fn wants_snapshots(&self) -> bool {
+        TrailingHook::<f64>::wants_snapshots(self)
     }
 }
 
@@ -441,13 +553,16 @@ impl PerIterationChecksums {
     }
 }
 
-impl TrailingHook for PerIterationChecksums {
+impl<E: Element> TrailingHook<E> for PerIterationChecksums
+where
+    FusedTileChecksums: TrailingHook<E>,
+{
     fn after_tile_update(
         &self,
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict {
         self.hooks[iter].after_tile_update(iter, col0, row0, cols)
     }
@@ -457,13 +572,13 @@ impl TrailingHook for PerIterationChecksums {
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict {
         self.hooks[iter].after_panel_factor(iter, col0, row0, cols)
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.hooks.iter().any(FusedTileChecksums::wants_snapshots)
+        self.hooks.iter().any(TrailingHook::<E>::wants_snapshots)
     }
 }
 
@@ -471,8 +586,8 @@ impl TrailingHook for PerIterationChecksums {
 mod tests {
     use super::*;
     use bsr_linalg::dag::DagExecution;
-    use bsr_linalg::generate::{random_matrix, random_spd_matrix};
-    use bsr_linalg::{cholesky, lu, qr};
+    use bsr_linalg::generate::{random_diag_dominant_matrix, random_matrix, random_spd_matrix};
+    use bsr_linalg::{blas3, cholesky, lu, qr, Matrix, Trans};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -563,5 +678,56 @@ mod tests {
         let out = verify_and_correct_slices(&mut cols, &cs);
         assert_eq!(out.corrected_0d, 1);
         assert!(corrupted.approx_eq(&m, 1e-9));
+    }
+
+    #[test]
+    fn clean_f32_run_keeps_factors_and_costs_time() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let a = random_diag_dominant_matrix(&mut rng, 48).demote();
+        let hook = FusedTileChecksums::new(ChecksumScheme::Full, 8);
+        let (plain, _) = lu::lu_dag_with(&a, 8, &(), DagExecution::Pool).unwrap();
+        let (fused, _) = lu::lu_dag_with(&a, 8, &hook, DagExecution::Pool).unwrap();
+        // Promote/demote round-trips exactly on clean data, so factors are identical.
+        assert_eq!(fused.lu, plain.lu, "clean f32 protection changed the factors");
+        let out = hook.outcome();
+        assert!(out.is_clean_or_corrected());
+        assert_eq!(out.total_corrected(), 0);
+        assert!(hook.checksum_seconds() > 0.0);
+    }
+
+    #[test]
+    fn injected_f32_strike_is_corrected_to_solve_accuracy() {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        let (n, b) = (48, 8);
+        let a = random_diag_dominant_matrix(&mut rng, n).demote();
+        // Strike the first trailing tile of iteration 0 (rows/cols [b, 2b)).
+        let faults = vec![PlannedFault::tile(b, b, ErrorPattern::ZeroD, 5)];
+        let hook = FusedTileChecksums::with_faults(ChecksumScheme::Full, b, faults);
+        let (struck, _) = lu::lu_dag_with(&a, b, &hook, DagExecution::Pool).unwrap();
+        assert_eq!(hook.faults_injected(), 1);
+        let out = hook.outcome();
+        assert!(out.total_corrected() >= 1, "the strike must be corrected");
+        assert_eq!(out.uncorrectable, 0);
+        // The correction is rounded through f32, so judge at the solve level: the
+        // struck factors must still solve A x = b to f32-factorization accuracy.
+        let rhs = Matrix::<f32>::from_fn(n, 1, |i, _| (i as f32 / n as f32) - 0.4);
+        let ax = blas3::gemm(&a, Trans::No, &struck.solve(&rhs), Trans::No);
+        assert!(ax.approx_eq(&rhs, 1e-2), "corrected factors must still solve");
+    }
+
+    #[test]
+    fn promotion_screen_catches_f32_blowups() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut a = random_spd_matrix(&mut rng, 24).demote();
+        // Poison one trailing entry so the first trailing update propagates a
+        // non-finite value into a tile the hook inspects.
+        a.set(20, 20, f32::INFINITY);
+        let hook = FusedTileChecksums::new(ChecksumScheme::Full, 8);
+        // The factorization may or may not fail outright; the screen must trip
+        // either way, and it tallies the tile instead of "correcting" it.
+        let _ = cholesky::cholesky_dag_with(&mut a, 8, &hook, DagExecution::Pool);
+        let out = hook.outcome();
+        assert!(out.uncorrectable > 0, "a blown-up f32 tile must be tallied");
+        assert_eq!(out.total_corrected(), 0);
     }
 }

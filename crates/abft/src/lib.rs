@@ -20,10 +20,9 @@
 //!   per-tile checksum encode/verify workload into the tiled factorizations'
 //!   trailing-update tasks, so checksum maintenance runs on the parallel schedule
 //!   instead of as a serial epilogue (see the module docs for what this does and does
-//!   not protect against);
-//! * [`mixed`] — [`MixedChecksums`], the mixed-precision rung: f64 checksum
-//!   protection over *f32* factorization tiles (promote → encode → verify/correct →
-//!   demote), catching both injected SDCs and f32 accumulation blowups;
+//!   not protect against). The same hook protects the mixed-precision path's *f32*
+//!   tiles through a promote → f64 verify/correct → demote adapter, which also
+//!   screens out f32 accumulation blowups;
 //! * [`inject`] — fault injection with 0D/1D/2D patterns for the reliability experiments
 //!   (paper Figure 9);
 //! * [`recover`] — the escalation ladder for faults *beyond* in-place correction
@@ -45,13 +44,11 @@ pub mod checksum;
 pub mod coverage;
 pub mod fused;
 pub mod inject;
-pub mod mixed;
 pub mod overhead;
 pub mod recover;
 
 pub use adaptive::{abft_oc, AbftDecision, AbftRequest};
 pub use checksum::{ChecksumScheme, VerifyEvent, VerifyEventKind, VerifyOutcome};
 pub use fused::{FaultTarget, FusedTileChecksums, PlannedFault};
-pub use mixed::{MixedChecksums, MixedPerIterationChecksums};
 pub use coverage::{fc_full, fc_k, fc_single, FULL_COVERAGE_THRESHOLD};
 pub use recover::{FaultSite, RecoveryAction, RecoveryEvent, RecoveryPolicy, RecoveryTracker};

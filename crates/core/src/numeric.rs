@@ -10,21 +10,25 @@
 //! 1. the iteration's [`IterationPlan`](bsr_sched::strategy::IterationPlan) comes from
 //!    `bsr-sched` via [`AnalyticDriver::begin_step`] (frequencies, guardbands, ABFT
 //!    scheme, sampled SDC events);
-//! 2. the trailing update runs on `bsr-linalg`'s task runtime. With measured feedback
-//!    **on** that is the per-tile-column tiled steppers ([`lu::LuTiledStepper`],
+//! 2. the trailing update runs on `bsr-linalg`'s task runtime, on one of two paths.
+//!    The **stepped** path (f64 with measured feedback **on**) runs the
+//!    per-tile-column tiled steppers ([`lu::LuTiledStepper`],
 //!    [`cholesky::CholeskyTiledStepper`], [`qr::QrTiledStepper`]) with one-step panel
 //!    lookahead — feedback needs each iteration's measured durations before planning
-//!    the next, which inherently caps lookahead at one panel. With feedback **off**
-//!    every iteration is planned up front and the whole factorization runs as one
+//!    the next, which inherently caps lookahead at one panel. The **DAG** path plans
+//!    every iteration up front and runs the whole factorization as one
 //!    dependency-driven task DAG ([`lu::lu_dag_with`], [`cholesky::cholesky_dag_with`],
 //!    [`qr::qr_dag_with`]) with depth-unbounded lookahead: a trailing tile of
 //!    iteration `k + 2` starts the moment its inputs are final, while slow tiles of
-//!    iteration `k` are still in flight;
+//!    iteration `k` are still in flight. It serves f64 runs with feedback off and
+//!    every [`Precision::MixedF32`] run, which factors on the same drivers
+//!    instantiated at `f32` and then refines to f64 accuracy;
 //! 3. checksum maintenance rides those tasks through `bsr-abft`'s
-//!    [`FusedTileChecksums`] — every iteration the active scheme protects pays the
-//!    full encode + verify cost, and each sampled SDC event is injected into its
-//!    target tile *between* encode and verify, the window a real silent corruption of
-//!    the update occupies;
+//!    [`FusedTileChecksums`] (f32 tiles through its promote → f64 verify → demote
+//!    adapter) — every iteration the active scheme protects pays the full encode +
+//!    verify cost, and each sampled SDC event is injected into its target tile
+//!    *between* encode and verify, the window a real silent corruption of the update
+//!    occupies;
 //! 4. the **measured** wall-clock durations of the panel and update streams are
 //!    charged to a [`Timeline`] (`hetero-sim`) alongside the analytic estimates;
 //! 5. the measured durations are fed back into the slack predictor
@@ -38,21 +42,21 @@
 use crate::analytic::{AnalyticDriver, ObservedDurations};
 use crate::config::{Precision, RunConfig};
 use crate::report::RunReport;
-use crate::trace::SdcEvent;
+use crate::trace::{IterationTiming, SdcEvent};
 use bsr_abft::checksum::{ChecksumScheme, VerifyOutcome};
 use bsr_abft::fused::{FaultTarget, FusedTileChecksums, PerIterationChecksums, PlannedFault};
-use bsr_abft::mixed::{MixedChecksums, MixedPerIterationChecksums};
 use bsr_abft::recover::{RecoveryAction, RecoveryEvent, RecoveryTracker};
-use bsr_linalg::dag::DagExecution;
+use bsr_linalg::dag::{DagExecution, DagTiming};
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
-use bsr_linalg::lowprec::{self, LowPrecError};
 use bsr_linalg::matrix::{Block, Matrix};
-use bsr_linalg::solve::{cholesky_solve, lu_solve};
+use bsr_linalg::solve::cholesky_solve;
 use bsr_linalg::task::{StepTiming, TrailingHook};
 use bsr_linalg::verify::{cholesky_residual, lu_residual, qr_residual, CORRECTNESS_THRESHOLD};
 use bsr_linalg::{blas3, cholesky, lu, qr, Trans};
+use bsr_sched::strategy::TaskPredictions;
 use bsr_sched::workload::Decomposition;
 use hetero_sim::device::DeviceKind;
+use hetero_sim::freq::MHz;
 use hetero_sim::sdc::FaultMix;
 use hetero_sim::timeline::Timeline;
 use rand::{Rng, SeedableRng};
@@ -97,9 +101,6 @@ pub enum NumericError {
         /// The offending decomposition.
         dec: Decomposition,
     },
-    /// The f32 factorization itself failed (singular / not SPD to f32 precision, or
-    /// corrupted beyond the f32 pivot tolerance by an uncorrected fault).
-    LowPrecision(LowPrecError),
 }
 
 impl std::fmt::Display for NumericError {
@@ -124,7 +125,6 @@ impl std::fmt::Display for NumericError {
             NumericError::MixedUnsupported { dec } => {
                 write!(f, "mixed precision is not supported for {dec:?} (LU and Cholesky only)")
             }
-            NumericError::LowPrecision(e) => write!(f, "f32 factorization failed: {e}"),
         }
     }
 }
@@ -143,7 +143,7 @@ pub enum NumericFactors {
     Qr(qr::QrFactors),
     /// Mixed-precision LU: the factors are f32 (the refined f64 solution lives in
     /// the run's [`MixedRefinement`] record, not in the factors).
-    MixedLu(lowprec::LuFactorsF32),
+    MixedLu(lu::LuFactors<f32>),
     /// Mixed-precision Cholesky factor storage, f32.
     MixedCholesky(Matrix<f32>),
 }
@@ -197,7 +197,9 @@ pub struct MeasuredIteration {
 }
 
 /// The f64 iterative-refinement record of a mixed-precision
-/// ([`Precision::MixedF32`]) run.
+/// ([`Precision::MixedF32`]) run. When the f32 attempt failed (its factorization
+/// errored, or refinement did not converge) the run fell back to f64: the record
+/// then describes the failed f32 attempt and [`MixedRefinement::fell_back`] is set.
 #[derive(Debug, Clone, Copy)]
 pub struct MixedRefinement {
     /// Correction sweeps applied beyond the initial f32 solve.
@@ -215,6 +217,12 @@ pub struct MixedRefinement {
     /// Wall-clock seconds of the whole f64 recovery phase (initial solve, residual
     /// evaluations and correction sweeps).
     pub solve_seconds: f64,
+    /// Whether the f32 attempt failed and the returned factors, verdict and
+    /// verification come from a re-run of the same plan at f64 (the classic
+    /// mixed-precision fallback of LAPACK `DSGESV`). The f32 attempt's wall time
+    /// is charged to the run's timeline as a `MIXED` CPU task; when its
+    /// factorization itself failed there was no refinement, and η is infinite.
+    pub fell_back: bool,
 }
 
 /// Result of a numeric-mode run: the analytic-style report plus numerical evidence and
@@ -235,7 +243,8 @@ pub struct NumericRunReport {
     /// Whether the final result is numerically correct: residual below
     /// [`CORRECTNESS_THRESHOLD`] for f64 runs, refinement convergence to f64
     /// backward error for mixed-precision runs (whose f32 *factors* are only
-    /// f32-accurate by construction — see [`NumericRunReport::mixed`]).
+    /// f32-accurate by construction — see [`NumericRunReport::mixed`]) unless the
+    /// run fell back to f64, which is judged like an f64 run.
     pub numerically_correct: bool,
     /// Measured per-device timeline: panel factorizations on the CPU stream concurrent
     /// with trailing-update regions on the GPU stream, one barrier per iteration.
@@ -363,24 +372,29 @@ impl Engine {
         }
     }
 
-    /// Package the factors and compute the residual against the original input.
-    fn finish(self, input: &Matrix) -> (NumericFactors, f64) {
+    /// Package the factors.
+    fn finish(self) -> NumericFactors {
         match self {
-            Engine::Cholesky(s) => {
-                let m = s.into_matrix();
-                let residual = cholesky_residual(input, &m.lower_triangular());
-                (NumericFactors::Cholesky(m), residual)
-            }
-            Engine::Lu(s) => {
-                let f = s.into_factors();
-                let residual = lu_residual(input, &f);
-                (NumericFactors::Lu(f), residual)
-            }
-            Engine::Qr(s) => {
-                let f = s.into_factors();
-                let residual = qr_residual(input, &f);
-                (NumericFactors::Qr(f), residual)
-            }
+            Engine::Cholesky(s) => NumericFactors::Cholesky(s.into_matrix()),
+            Engine::Lu(s) => NumericFactors::Lu(s.into_factors()),
+            Engine::Qr(s) => NumericFactors::Qr(s.into_factors()),
+        }
+    }
+}
+
+/// Relative factorization residual of `factors` against the original input. f32
+/// factors are promoted first, so their residual is f32-accurate by construction.
+fn factor_residual(input: &Matrix, factors: &NumericFactors) -> f64 {
+    match factors {
+        NumericFactors::Cholesky(m) => cholesky_residual(input, &m.lower_triangular()),
+        NumericFactors::Lu(f) => lu_residual(input, f),
+        NumericFactors::Qr(f) => qr_residual(input, f),
+        NumericFactors::MixedLu(f) => lu_residual(
+            input,
+            &lu::LuFactors { lu: f.lu.promote(), pivots: f.pivots.clone() },
+        ),
+        NumericFactors::MixedCholesky(m) => {
+            cholesky_residual(input, &m.promote().lower_triangular())
         }
     }
 }
@@ -442,13 +456,14 @@ pub fn run_numeric_on(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport
     result
 }
 
-/// Engine dispatch shared by every execution surface: mixed-precision, stepped
-/// (measured feedback) or whole-run DAG. The caller has already validated the
-/// input shape.
+/// Engine dispatch shared by every execution surface. There are two paths: the
+/// stepped path for f64 runs with measured feedback (each iteration's measured
+/// durations reach the predictor before the next plan), and the whole-run DAG path
+/// for everything planned up front — f64 runs with feedback off and every
+/// [`Precision::MixedF32`] run, at f32 with an f64 fallback. The caller has already
+/// validated the input shape.
 pub(crate) fn dispatch(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
-    if cfg.precision == Precision::MixedF32 {
-        run_numeric_mixed(cfg, input)
-    } else if cfg.measured_feedback {
+    if cfg.measured_feedback && cfg.precision == Precision::F64 {
         run_numeric_stepped(cfg, input)
     } else {
         run_numeric_dag(cfg, input)
@@ -574,7 +589,8 @@ fn run_numeric_stepped(
     }
 
     // --- final numerical verification against the original input ----------------------
-    let (factors, residual) = engine.finish(input);
+    let factors = engine.finish();
+    let residual = factor_residual(input, &factors);
     let report = driver.into_report();
     Ok(NumericRunReport {
         numerically_correct: residual < CORRECTNESS_THRESHOLD,
@@ -591,20 +607,37 @@ fn run_numeric_stepped(
     })
 }
 
-/// Feedback-off path: plan every iteration up front (deterministic — the plans see
-/// only the analytic predictor and the seeded SDC sampler), then run the whole
-/// factorization as one dependency-driven task DAG with depth-unbounded lookahead.
+/// What the DAG path plans up front: per iteration, the checksum scheme and fault
+/// plan, and the predictions, analytic estimates and clocks its timeline entries
+/// carry; plus the finished analytic report and the CPU base clock.
+struct DagPlan {
+    faults: Vec<(ChecksumScheme, Vec<PlannedFault>)>,
+    iterations: Vec<(Option<TaskPredictions>, IterationTiming, MHz, MHz)>,
+    report: RunReport,
+    cpu_base: MHz,
+}
+
+/// DAG path: plan every iteration up front (deterministic — the plans see only the
+/// analytic predictor and the seeded SDC sampler), then run the whole factorization
+/// as one dependency-driven task DAG with depth-unbounded lookahead
+/// ([`run_planned`]).
 ///
-/// The per-iteration accounting attributes measured durations to *DAG tasks* instead
-/// of barrier phases: `pd_s` is the wall-clock duration of the iteration's lookahead
-/// panel task, `update_s` is the CPU-summed duration of the iteration's trailing
-/// update tasks (they overlap other iterations' tasks, so no single wall-clock phase
-/// contains them), and `checksum_s` is the iteration's fused-hook encode + verify
-/// share of that total.
+/// [`Precision::MixedF32`] runs factor on the same drivers at f32, under the same
+/// fault plan and recovery ladder, then refine in f64. When the f32 attempt fails —
+/// its factorization errors (singular or not SPD at f32 precision) or refinement
+/// does not converge within [`MAX_REFINE_SWEEPS`] — the plan is re-run at f64 and
+/// that result is returned, with the f32 attempt's record kept in
+/// [`NumericRunReport::mixed`] (`fell_back` set). A structured
+/// [`NumericError::UnrecoverableFault`] is returned as is. QR has no f32 path and
+/// returns [`NumericError::MixedUnsupported`].
 fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
     let n = cfg.workload.n;
     let b = cfg.workload.block;
     let dec = cfg.workload.decomposition;
+    let mixed = cfg.precision == Precision::MixedF32;
+    if mixed && dec == Decomposition::Qr {
+        return Err(NumericError::MixedUnsupported { dec });
+    }
     let mut inject_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x0bad_5eed);
 
     let mut driver = AnalyticDriver::new(cfg.clone());
@@ -614,8 +647,7 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
     // Identical driver interaction to the stepped path with feedback off: begin_step,
     // record the plan, finish_step with no observation. The injection RNG is drawn in
     // iteration order, so the planned faults are bit-identical to a stepped run.
-    let mut fault_plans: Vec<(ChecksumScheme, Vec<PlannedFault>)> =
-        Vec::with_capacity(iterations);
+    let mut fault_plans = Vec::with_capacity(iterations);
     let mut plans = Vec::with_capacity(iterations);
     for k in 0..iterations {
         let pending = driver.begin_step(k);
@@ -642,7 +674,57 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
         ));
         driver.finish_step(pending, None);
     }
+    let cpu_base = driver.platform().cpu.base_freq;
+    let plan = DagPlan {
+        faults: fault_plans,
+        iterations: plans,
+        report: driver.into_report(),
+        cpu_base,
+    };
+    if !mixed {
+        return run_planned(&cfg, input, &plan, false);
+    }
 
+    let t0 = Instant::now();
+    let attempt = run_planned(&cfg, input, &plan, true);
+    let record = match &attempt {
+        Ok(out) if out.numerically_correct => return attempt,
+        Ok(out) => out.mixed.expect("mixed runs carry a refinement record"),
+        Err(NumericError::Cholesky(_) | NumericError::Lu(_)) => MixedRefinement {
+            refine_iters: 0,
+            backward_error: f64::INFINITY,
+            tol: refinement_tol(n),
+            converged: false,
+            solve_seconds: 0.0,
+            fell_back: false,
+        },
+        Err(_) => return attempt,
+    };
+    let attempt_s = t0.elapsed().as_secs_f64();
+    let mut out = run_planned(&cfg, input, &plan, false)?;
+    out.timeline.push_task(DeviceKind::Cpu, "MIXED", iterations, attempt_s, cpu_base);
+    out.timeline.sync();
+    out.mixed = Some(MixedRefinement { fell_back: true, ..record });
+    Ok(out)
+}
+
+/// Execute a [`DagPlan`] on the DAG runtime, at f32 when `mixed` (followed by the
+/// f64 refinement epilogue) and at f64 otherwise.
+///
+/// The per-iteration accounting attributes measured durations to *DAG tasks* instead
+/// of barrier phases: `pd_s` is the wall-clock duration of the iteration's lookahead
+/// panel task, `update_s` is the CPU-summed duration of the iteration's trailing
+/// update tasks (they overlap other iterations' tasks, so no single wall-clock phase
+/// contains them), and `checksum_s` is the iteration's fused-hook encode + verify
+/// share of that total.
+fn run_planned(
+    cfg: &RunConfig,
+    input: &Matrix,
+    plan: &DagPlan,
+    mixed: bool,
+) -> Result<NumericRunReport, NumericError> {
+    let b = cfg.workload.block;
+    let dec = cfg.workload.decomposition;
     let tracker =
         cfg.recovery.enabled.then(|| Arc::new(RecoveryTracker::new(cfg.recovery)));
 
@@ -653,9 +735,9 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
     // saved per-iteration plans with fresh hooks and the shared tracker, because a
     // depth-unbounded schedule has no iteration boundary to checkpoint at. Without
     // recovery the loop runs exactly once.
-    let (factors, residual, timing, hook) = loop {
+    let (factors, timing, hook) = loop {
         let hook = PerIterationChecksums::new(
-            fault_plans
+            plan.faults
                 .iter()
                 .map(|(scheme, faults)| {
                     let h = FusedTileChecksums::with_faults(*scheme, b, faults.clone());
@@ -666,26 +748,7 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
                 })
                 .collect(),
         );
-        let run = match dec {
-            Decomposition::Cholesky => {
-                let mut m = input.clone();
-                let timing = cholesky::cholesky_dag_with(&mut m, b, &hook, DagExecution::Pool)
-                    .map_err(NumericError::Cholesky)?;
-                let residual = cholesky_residual(input, &m.lower_triangular());
-                (NumericFactors::Cholesky(m), residual, timing)
-            }
-            Decomposition::Lu => {
-                let (f, timing) = lu::lu_dag_with(input, b, &hook, DagExecution::Pool)
-                    .map_err(NumericError::Lu)?;
-                let residual = lu_residual(input, &f);
-                (NumericFactors::Lu(f), residual, timing)
-            }
-            Decomposition::Qr => {
-                let (f, timing) = qr::qr_dag_with(input, b, &hook, DagExecution::Pool);
-                let residual = qr_residual(input, &f);
-                (NumericFactors::Qr(f), residual, timing)
-            }
-        };
+        let (factors, timing) = factor_on_dag(dec, input, b, &hook, mixed)?;
         if let Some(t) = &tracker {
             if t.is_suspect() {
                 return Err(NumericError::UnrecoverableFault { history: t.history() });
@@ -697,22 +760,22 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
                 continue;
             }
         }
-        break (run.0, run.1, run.2, hook);
+        break (factors, timing, hook);
     };
+    let residual = factor_residual(input, &factors);
 
     // --- attribute the measured DAG-task durations to the two-stream timeline ----------
     // The timeline keeps the stepped shape (PD0 prologue, then one PD/UPDATE pair per
     // iteration) so makespans stay comparable across runtimes; each entry now carries
     // the duration of the matching DAG tasks.
-    let cpu_base = driver.platform().cpu.base_freq;
     let mut timeline = Timeline::new();
     let pd0 = timing.panel_s.first().copied().unwrap_or(0.0);
-    timeline.push_task(DeviceKind::Cpu, "PD0", 0, pd0, cpu_base);
+    timeline.push_task(DeviceKind::Cpu, "PD0", 0, pd0, plan.cpu_base);
     timeline.sync();
 
-    let mut measured = Vec::with_capacity(iterations);
+    let mut measured = Vec::with_capacity(plan.iterations.len());
     let mut checksum_cpu_s = 0.0;
-    for (k, (preds, analytic, cpu_freq, gpu_freq)) in plans.into_iter().enumerate() {
+    for (k, &(preds, analytic, cpu_freq, gpu_freq)) in plan.iterations.iter().enumerate() {
         let pd_s = timing.panel_s.get(k + 1).copied().unwrap_or(0.0);
         let update_s = timing.update_s.get(k).copied().unwrap_or(0.0);
         let iter_checksum_s = hook.hook(k).checksum_seconds();
@@ -732,134 +795,96 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
         });
     }
 
-    let verification = hook.outcome();
-    let faults_injected = hook.faults_injected();
-    let report = driver.into_report();
+    // --- mixed precision: f64 iterative refinement, a final CPU-stream task ------------
+    let refinement = mixed.then(|| refine(cfg, input, &factors));
+    if let Some(m) = &refinement {
+        let k = measured.len();
+        timeline.push_task(DeviceKind::Cpu, "REFINE", k, m.solve_seconds, plan.cpu_base);
+        timeline.sync();
+    }
+
     Ok(NumericRunReport {
-        numerically_correct: residual < CORRECTNESS_THRESHOLD,
-        report,
+        // Mixed runs are judged by refinement: their f32 factors are only f32-accurate.
+        numerically_correct: refinement.map_or(residual < CORRECTNESS_THRESHOLD, |m| m.converged),
+        report: plan.report.clone(),
         factors,
         residual,
-        verification,
-        faults_injected,
+        verification: hook.outcome(),
+        faults_injected: hook.faults_injected(),
         timeline,
         measured,
         checksum_cpu_s,
         recovery: tracker.map(|t| t.history()).unwrap_or_default(),
-        mixed: None,
+        mixed: refinement,
+    })
+}
+
+/// One whole-run DAG factorization of `input` with `hook` fused in: at f64, or on
+/// the demoted input at f32 when `mixed`.
+fn factor_on_dag(
+    dec: Decomposition,
+    input: &Matrix,
+    b: usize,
+    hook: &PerIterationChecksums,
+    mixed: bool,
+) -> Result<(NumericFactors, DagTiming), NumericError> {
+    let exec = DagExecution::Pool;
+    Ok(match (dec, mixed) {
+        (Decomposition::Cholesky, false) => {
+            let mut m = input.clone();
+            let timing = cholesky::cholesky_dag_with(&mut m, b, hook, exec)
+                .map_err(NumericError::Cholesky)?;
+            (NumericFactors::Cholesky(m), timing)
+        }
+        (Decomposition::Cholesky, true) => {
+            let mut m = input.demote();
+            let timing = cholesky::cholesky_dag_with(&mut m, b, hook, exec)
+                .map_err(NumericError::Cholesky)?;
+            (NumericFactors::MixedCholesky(m), timing)
+        }
+        (Decomposition::Lu, false) => {
+            let (f, timing) = lu::lu_dag_with(input, b, hook, exec).map_err(NumericError::Lu)?;
+            (NumericFactors::Lu(f), timing)
+        }
+        (Decomposition::Lu, true) => {
+            let (f, timing) =
+                lu::lu_dag_with(&input.demote(), b, hook, exec).map_err(NumericError::Lu)?;
+            (NumericFactors::MixedLu(f), timing)
+        }
+        (Decomposition::Qr, _) => {
+            let (f, timing) = qr::qr_dag_with(input, b, hook, exec);
+            (NumericFactors::Qr(f), timing)
+        }
     })
 }
 
 /// Maximum correction sweeps of the mixed path's f64 iterative refinement. Clean
 /// well-conditioned systems converge in 1–3 sweeps; a budget this size only runs out
 /// when the f32 factors are corrupted or the system is too ill-conditioned for f32
-/// factors to precondition (`κ(A)·ε_f32 ≳ 1`).
+/// factors to precondition (`κ(A)·ε_f32 ≳ 1`) — the cases the f64 fallback catches.
 const MAX_REFINE_SWEEPS: usize = 10;
 
-/// Mixed-precision path ([`Precision::MixedF32`]): factor in **f32** on the f32
-/// packed kernels (twice the SIMD lanes per vector register), protect every trailing
-/// tile with **f64** checksums ([`MixedChecksums`]: promote → encode → inject →
-/// verify/correct → demote), then recover f64 accuracy with an f64 iterative
-/// refinement sweep against the original input.
+/// Convergence threshold of the refinement: `4·n·ε_f64`, the backward error a
+/// *direct* f64 solve of a well-conditioned system delivers.
+fn refinement_tol(n: usize) -> f64 {
+    4.0 * n as f64 * f64::EPSILON
+}
+
+/// f64 iterative refinement against the original input through the f32 factors.
 ///
-/// Differences from the f64 paths, all visible in the report:
-///
-/// * every iteration is planned up front (the `lowprec` drivers run the whole
-///   factorization in one call, so there is no per-iteration feedback opportunity);
-///   `measured_feedback` is ignored;
-/// * the recovery ladder is not wired in: in-place correction is the only rung, and
-///   anything beyond it (bursts, blowups) surfaces as a non-converging refinement
-///   ([`MixedRefinement::converged`] = `false`) rather than a replay;
-/// * `numerically_correct` means *refinement converged to f64 backward error*; the
-///   `residual` field still reports the factorization residual of the (promoted)
-///   f32 factors, which is f32-accurate by construction;
-/// * QR has no f32 driver and returns [`NumericError::MixedUnsupported`].
-fn run_numeric_mixed(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
+/// Deterministic right-hand side from the run seed; each sweep solves the f64
+/// residual system through the f32 factors and adds the correction in f64. The
+/// backward error is evaluated *before* each correction, so `converged` certifies
+/// the returned solution, not a predecessor.
+fn refine(cfg: &RunConfig, input: &Matrix, factors: &NumericFactors) -> MixedRefinement {
     let n = cfg.workload.n;
-    let b = cfg.workload.block;
-    let dec = cfg.workload.decomposition;
-    if dec == Decomposition::Qr {
-        return Err(NumericError::MixedUnsupported { dec });
-    }
-    let mut inject_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x0bad_5eed);
-    let mut driver = AnalyticDriver::new(cfg.clone());
-    let iterations = cfg.workload.iterations();
-
-    // --- plan every iteration and sample its SDC events up front -----------------------
-    // Same driver interaction as the DAG path. The f32 drivers offer only the trailing
-    // *square* `[(k+1)·b, n)²` to the hook (the panel — and for LU the U12 band — are
-    // CPU-side panel work there), so the fault plan is drawn over that subset of the
-    // protected tiles.
-    let mut hooks = Vec::with_capacity(iterations);
-    let mut plans = Vec::with_capacity(iterations);
-    for k in 0..iterations {
-        let pending = driver.begin_step(k);
-        let scheme = pending.trace().abft;
-        let tiles: Vec<Block> = protected_tiles(dec, n, b, k)
-            .into_iter()
-            .filter(|t| t.row >= (k + 1) * b)
-            .collect();
-        let panel_col = ((k + 1) * b < n).then(|| (k + 1) * b);
-        let faults = if tiles.is_empty() {
-            Vec::new()
-        } else {
-            plan_faults_with_mix(
-                &pending.trace().sdc_events,
-                &tiles,
-                &mut inject_rng,
-                &cfg.fault_mix,
-                panel_col,
-            )
-        };
-        hooks.push(MixedChecksums::with_faults(scheme, b, faults));
-        plans.push((pending.trace().timing, pending.trace().gpu_freq));
-        driver.finish_step(pending, None);
-    }
-    let hook = MixedPerIterationChecksums::new(hooks);
-
-    // --- f32 factorization with fused f64 protection -----------------------------------
-    let input_f32 = input.demote();
-    let (factors, iter_seconds) = match dec {
-        Decomposition::Lu => {
-            let f = lowprec::lu_blocked_f32(&input_f32, b, &hook)
-                .map_err(NumericError::LowPrecision)?;
-            let iter_seconds = f.iter_seconds.clone();
-            (NumericFactors::MixedLu(f), iter_seconds)
-        }
-        Decomposition::Cholesky => {
-            let mut m = input_f32;
-            let iter_seconds = lowprec::cholesky_blocked_f32(&mut m, b, &hook)
-                .map_err(NumericError::LowPrecision)?;
-            (NumericFactors::MixedCholesky(m), iter_seconds)
-        }
-        Decomposition::Qr => unreachable!("rejected above"),
-    };
-
-    // The factorization residual of the promoted f32 factors: f32-accurate, reported
-    // for comparison against the f64 paths (correctness is judged by refinement).
-    let residual = match &factors {
-        NumericFactors::MixedLu(f) => lu_residual(
-            input,
-            &lu::LuFactors { lu: f.lu.promote(), pivots: f.pivots.clone() },
-        ),
-        NumericFactors::MixedCholesky(m) => {
-            cholesky_residual(input, &m.promote().lower_triangular())
-        }
-        _ => unreachable!("mixed path produced non-mixed factors"),
-    };
-
-    // --- f64 iterative refinement against the original input ---------------------------
-    // Deterministic right-hand side from the run seed; each sweep solves the f64
-    // residual system through the f32 factors and adds the correction in f64. The
-    // backward error is evaluated *before* each correction, so `converged` certifies
-    // the returned solution, not a predecessor.
     let t_refine = Instant::now();
     let mut rhs_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x00f3_2d0c);
     let rhs = random_matrix(&mut rhs_rng, n, 1);
     let a_norm = inf_norm(input);
     let b_norm = inf_norm(&rhs);
-    let tol = 4.0 * n as f64 * f64::EPSILON;
-    let mut x = mixed_solve(&factors, &rhs);
+    let tol = refinement_tol(n);
+    let mut x = mixed_solve(factors, &rhs);
     let mut refine_iters = 0usize;
     let mut backward_error;
     let mut converged = false;
@@ -879,65 +904,20 @@ fn run_numeric_mixed(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport,
         if !backward_error.is_finite() || refine_iters >= MAX_REFINE_SWEEPS {
             break;
         }
-        let d = mixed_solve(&factors, &r);
+        let d = mixed_solve(factors, &r);
         for (xi, &di) in x.data_mut().iter_mut().zip(d.data()) {
             *xi += di;
         }
         refine_iters += 1;
     }
-    let mixed = MixedRefinement {
+    MixedRefinement {
         refine_iters,
         backward_error,
         tol,
         converged,
         solve_seconds: t_refine.elapsed().as_secs_f64(),
-    };
-
-    // --- timeline and per-iteration record ---------------------------------------------
-    // The lowprec drivers do not separate panel from update work, so each iteration's
-    // whole wall-clock duration is charged to the update stream (`pd_s` = 0, no
-    // predictions — mixed runs plan up front). The refinement sweep is a final
-    // CPU-stream task, making the makespan end-to-end: factor + protect + refine.
-    let cpu_base = driver.platform().cpu.base_freq;
-    let mut timeline = Timeline::new();
-    let mut measured = Vec::with_capacity(iterations);
-    let mut checksum_cpu_s = 0.0;
-    for (k, (analytic, gpu_freq)) in plans.into_iter().enumerate() {
-        let update_s = iter_seconds.get(k).copied().unwrap_or(0.0);
-        let iter_checksum_s = hook.hook(k).checksum_seconds();
-        timeline.push_task(DeviceKind::Gpu, "UPDATE", k, update_s, gpu_freq);
-        timeline.sync();
-        checksum_cpu_s += iter_checksum_s;
-        measured.push(MeasuredIteration {
-            k,
-            pd_s: 0.0,
-            update_s,
-            checksum_s: iter_checksum_s,
-            predicted_pd_s: None,
-            predicted_update_s: None,
-            analytic_pd_s: analytic.pd_s,
-            analytic_update_s: analytic.pu_s + analytic.tmu_s + analytic.abft_s,
-        });
+        fell_back: false,
     }
-    timeline.push_task(DeviceKind::Cpu, "REFINE", iterations, mixed.solve_seconds, cpu_base);
-    timeline.sync();
-
-    let verification = hook.outcome();
-    let faults_injected = hook.faults_injected();
-    let report = driver.into_report();
-    Ok(NumericRunReport {
-        numerically_correct: mixed.converged,
-        report,
-        factors,
-        residual,
-        verification,
-        faults_injected,
-        timeline,
-        measured,
-        checksum_cpu_s,
-        recovery: Vec::new(),
-        mixed: Some(mixed),
-    })
 }
 
 /// ∞-norm: maximum absolute row sum (for an `n × 1` column this is the vector
@@ -955,7 +935,9 @@ fn inf_norm(m: &Matrix) -> f64 {
             *s += v.abs();
         }
     }
-    sums.into_iter().fold(0.0, f64::max)
+    // NaN must propagate (`f64::max` would drop it): a NaN solution has to read as
+    // a non-finite backward error, never as η = 0.
+    sums.into_iter().fold(0.0, |m, s| if s.is_nan() || s > m { s } else { m })
 }
 
 /// One solve through the mixed-precision f32 factors: demote the f64 right-hand
@@ -963,7 +945,7 @@ fn inf_norm(m: &Matrix) -> f64 {
 fn mixed_solve(factors: &NumericFactors, rhs: &Matrix) -> Matrix {
     let r32 = rhs.demote();
     match factors {
-        NumericFactors::MixedLu(f) => lu_solve(&f.lu, &f.pivots, &r32).promote(),
+        NumericFactors::MixedLu(f) => f.solve(&r32).promote(),
         NumericFactors::MixedCholesky(l) => cholesky_solve(l, &r32).promote(),
         _ => unreachable!("mixed_solve called with non-mixed factors"),
     }
@@ -1074,6 +1056,7 @@ pub fn plan_faults_with_mix<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::AbftMode;
+    use bsr_abft::recover::RecoveryPolicy;
     use bsr_sched::strategy::{BsrConfig, Strategy};
 
     fn small_cfg(dec: Decomposition, strategy: Strategy) -> RunConfig {
@@ -1311,6 +1294,47 @@ mod tests {
         assert!(out.measured_checksum_fraction() > 0.0);
         assert_eq!(out.faults_injected, 0);
         assert!(out.verification.is_clean_or_corrected());
+    }
+
+    #[test]
+    fn mixed_precision_falls_back_to_f64_when_the_f32_attempt_fails() {
+        let mixed_cfg = |dec| {
+            RunConfig::small(dec, 256, 32, Strategy::Original)
+                .with_abft_mode(AbftMode::Forced(ChecksumScheme::Full))
+                .with_fault_injection(false)
+                .with_precision(Precision::MixedF32)
+        };
+        // The benchmark's unconverged probe: the program's random LU input with its
+        // last row replaced by row 0 + 1e-6·row 1 puts κ(A)·ε_f32 near 1, so f32
+        // factors cannot precondition refinement.
+        let lu_cfg = mixed_cfg(Decomposition::Lu);
+        let mut near_singular = generate_input(&lu_cfg);
+        let n = near_singular.rows();
+        for j in 0..n {
+            let v = near_singular.get(0, j) + 1e-6 * near_singular.get(1, j);
+            near_singular.set(n - 1, j, v);
+        }
+        // An SPD input beyond the f32 range, with recovery on: the f32 tiles and the
+        // refined solution go non-finite, which must neither loop the recovery
+        // ladder nor read as a converged η = 0.
+        let chol_cfg = mixed_cfg(Decomposition::Cholesky).with_recovery(RecoveryPolicy::enabled());
+        let mut beyond_f32 = generate_input(&chol_cfg);
+        for v in beyond_f32.data_mut() {
+            *v *= 1e39;
+        }
+        let cases = [("near-singular", lu_cfg, near_singular), ("beyond f32", chol_cfg, beyond_f32)];
+        for (label, cfg, a) in cases {
+            // Either way the run must re-run at f64 and return correct f64 factors
+            // instead of an unconverged `Ok` or a structured failure.
+            let out = run_numeric_on(cfg, &a).unwrap();
+            let mixed = out.mixed.expect("mixed runs carry a refinement record");
+            assert!(mixed.fell_back && !mixed.converged, "{label}: the f32 attempt must fall back");
+            assert!(out.numerically_correct, "{label}: f64 fallback residual {:.3e}", out.residual);
+            assert!(
+                matches!(out.factors, NumericFactors::Lu(_) | NumericFactors::Cholesky(_)),
+                "{label}: f64 factors expected"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //!   sampled SDC schedule, depend on host wall-clock noise by design) every run
 //!   still honors the per-run contract above, at every thread count;
 //! * persistent faults (re-striking on every recomputation) are detected as such
-//!   and escalate to a structured failure instead of looping or lying.
+//!   and escalate to a structured failure instead of looping or lying;
+//! * mixed-precision runs (LU and Cholesky at f32 on the DAG runtime, same plan,
+//!   same ladder) either return factors whose f64 refinement converged — or that
+//!   came from the f64 fallback — with a clean final verification, or fail
+//!   structurally; never `Ok` with `numerically_correct = false`.
 //!
 //! The campaign *must* overclock: SDC rates are identically zero under the
 //! default guardband (`SdcModel::rate` models the paper's stock machine as
@@ -37,7 +41,7 @@
 
 use bsr_abft::checksum::ChecksumScheme;
 use bsr_abft::recover::{RecoveryAction, RecoveryEvent, RecoveryPolicy};
-use bsr_core::config::{AbftMode, RunConfig};
+use bsr_core::config::{AbftMode, Precision, RunConfig};
 use bsr_core::numeric::{run_numeric_on, NumericError, NumericFactors, NumericRunReport};
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::Matrix;
@@ -206,6 +210,27 @@ fn classify(
     }
 }
 
+/// [`classify`] for a mixed-precision run: f32 factors are only f32-accurate, so
+/// instead of bit-identity a returning run must carry a converged refinement (or
+/// have fallen back to f64) and be numerically correct with a clean final
+/// verification.
+fn classify_mixed(result: Result<NumericRunReport, NumericError>, label: &str) -> Outcome {
+    match result {
+        Ok(out) => {
+            let mixed = out.mixed.expect("mixed runs carry a refinement record");
+            assert!(mixed.converged || mixed.fell_back, "{label}: unconverged, no fallback");
+            assert!(out.numerically_correct, "{label}: Ok but not numerically correct");
+            assert_eq!(out.verification.uncorrectable, 0, "{label}: dirty final verification");
+            Outcome::Recovered { history: out.recovery }
+        }
+        Err(NumericError::UnrecoverableFault { history }) => {
+            assert!(!history.is_empty(), "{label}: empty failure history");
+            Outcome::Failed { history }
+        }
+        Err(e) => panic!("{label}: expected recovery or UnrecoverableFault, got: {e}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -252,6 +277,34 @@ proptest! {
                         prop_assert_eq!(h, h0, "failure histories diverge ({})", &label);
                     }
                     _ => prop_assert!(false, "outcome kind differs across threads ({})", &label),
+                }
+            }
+        }
+
+        // One more input: the same chaos plan at mixed precision (LU and Cholesky).
+        // Its plans are made up front like the DAG runtime's, so the outcome kind and
+        // recovery history must also agree across thread counts.
+        if dec != Decomposition::Qr {
+            let mut first: Option<Outcome> = None;
+            for t in THREADS {
+                let _guard = ThreadCountGuard::set(t);
+                let label = format!("recovery {dec:?} n={n} b={b} mixed t={t}");
+                let cfg = chaos_cfg(dec, n, b, seed, false).with_precision(Precision::MixedF32);
+                let outcome = classify_mixed(run_watched(cfg, &input, label.clone()), &label);
+                let (kind, history) = match &outcome {
+                    Outcome::Recovered { history } => ("recovered", history),
+                    Outcome::Failed { history } => ("failed", history),
+                };
+                match &first {
+                    None => first = Some(outcome),
+                    Some(Outcome::Recovered { history: h0 }) => {
+                        prop_assert_eq!(kind, "recovered", "mixed outcome differs ({})", &label);
+                        prop_assert_eq!(history, h0, "mixed histories diverge ({})", &label);
+                    }
+                    Some(Outcome::Failed { history: h0 }) => {
+                        prop_assert_eq!(kind, "failed", "mixed outcome differs ({})", &label);
+                        prop_assert_eq!(history, h0, "mixed histories diverge ({})", &label);
+                    }
                 }
             }
         }

@@ -12,6 +12,7 @@ use crate::blas3::{
     trsm_right_lower_trans_cols, Diag, PackedA, Side, Trans, UpLo,
 };
 use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming, TaskOutcome};
+use crate::elem::Element;
 use crate::matrix::{Block, Matrix};
 use crate::task::{
     restore_rows, snapshot_rows, split_tiles, split_tiles_at, StepTiming, TileCols, TileVerdict,
@@ -179,7 +180,10 @@ impl CholeskyFactors {
 /// the tile's column slices (no extract/write-back round trip) — a lookahead task
 /// touches nothing but its own column group. Operation-for-operation identical to
 /// [`potf2`] + [`panel_update`], so the bits match.
-fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<(), CholeskyError> {
+fn factor_panel_tile<E: Element>(
+    tile: &mut TileCols<'_, E>,
+    row0: usize,
+) -> Result<(), CholeskyError> {
     use crate::task::{col_pair, extract_cols};
     let n = tile.rows();
     let nb = tile.width();
@@ -194,12 +198,12 @@ fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<(), Cholesk
         }
         let col_j = &mut cols[j][row0 + j..jend];
         let d = col_j[0];
-        if d <= 0.0 {
+        if d <= E::ZERO {
             return Err(CholeskyError::NotPositiveDefinite(row0 + j));
         }
         let d = d.sqrt();
         col_j[0] = d;
-        scal(1.0 / d, &mut col_j[1..]);
+        scal(E::ONE / d, &mut col_j[1..]);
     }
     // Panel update (TRSM): A21 ← A21 · L11⁻ᵀ on the rows below the diagonal block.
     if jend < n {
@@ -218,14 +222,14 @@ fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<(), Cholesk
 /// contents before the verdict is passed to the caller, so simply calling again
 /// re-runs the identical update from clean inputs.
 #[allow(clippy::too_many_arguments)] // mirrors the per-iteration operand set
-fn chol_update_tile(
-    tile: &mut TileCols<'_>,
+fn chol_update_tile<E: Element>(
+    tile: &mut TileCols<'_, E>,
     iter: usize,
     j0: usize,
     nb: usize,
-    a21: &Matrix,
-    a21p: &PackedA,
-    hook: &dyn TrailingHook,
+    a21: &Matrix<E>,
+    a21p: &PackedA<E>,
+    hook: &dyn TrailingHook<E>,
 ) -> TileVerdict {
     let cb0 = tile.col0;
     let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, cb0, tile.width()));
@@ -238,7 +242,7 @@ fn chol_update_tile(
     let off = cb0 - (j0 + nb);
     let verdict = {
         let mut sub = tile.rows_from(cb0);
-        if off.is_multiple_of(<f64 as crate::elem::Element>::MR) {
+        if off.is_multiple_of(E::MR) {
             gemm_acc_cols_prepacked(-1.0, a21p, off, a21, Trans::Yes, off, &mut sub, true);
         } else {
             gemm_acc_cols(-1.0, a21, Trans::No, off, a21, Trans::Yes, off, &mut sub, true);
@@ -258,11 +262,11 @@ fn chol_update_tile(
 /// factor the panel in place (`potf2` + TRSM), then offer the fresh panel to the
 /// hook. On [`TileVerdict::Recompute`] the panel rows are restored and `None` is
 /// returned — the caller refactors from the identical pre-attempt state.
-fn chol_panel_attempt(
-    tile: &mut TileCols<'_>,
+fn chol_panel_attempt<E: Element>(
+    tile: &mut TileCols<'_, E>,
     iter: usize,
     row0: usize,
-    hook: &dyn TrailingHook,
+    hook: &dyn TrailingHook<E>,
 ) -> Option<Result<(), CholeskyError>> {
     let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, tile.width()));
     let col0 = tile.col0;
@@ -464,9 +468,9 @@ impl CholeskyTiledStepper {
 /// Operands panel `k` publishes for its trailing-update consumers: the `A21` copy and
 /// its packed form, shared read-only by every `Update(k, ·)` task. Bit-identical to
 /// the barrier stepper's per-iteration copies.
-struct CholPanelOps {
-    a21: Matrix,
-    a21p: PackedA,
+struct CholPanelOps<E: Element> {
+    a21: Matrix<E>,
+    a21p: PackedA<E>,
 }
 
 /// Dependency-driven DAG Cholesky with depth-unbounded panel lookahead.
@@ -482,10 +486,13 @@ pub fn cholesky_dag(a: &mut Matrix, block: usize) -> Result<(), CholeskyError> {
 
 /// [`cholesky_dag`] with a [`TrailingHook`] fused into every trailing tile task and an
 /// explicit [`DagExecution`] mode; returns the per-task measured [`DagTiming`].
-pub fn cholesky_dag_with(
-    a: &mut Matrix,
+///
+/// Generic over the element type like [`crate::lu::lu_dag_with`]: `f32` is the
+/// mixed-precision path's factorization, `f64` the default.
+pub fn cholesky_dag_with<E: Element>(
+    a: &mut Matrix<E>,
     block: usize,
-    hook: &dyn TrailingHook,
+    hook: &dyn TrailingHook<E>,
     exec: DagExecution,
 ) -> Result<DagTiming, CholeskyError> {
     if !a.is_square() {
@@ -526,12 +533,12 @@ pub fn cholesky_dag_with(
             task_of.push((grp, p));
         }
     }
-    let ops: Vec<OnceLock<CholPanelOps>> = (0..g).map(|_| OnceLock::new()).collect();
+    let ops: Vec<OnceLock<CholPanelOps<E>>> = (0..g).map(|_| OnceLock::new()).collect();
     let failed = AtomicBool::new(false);
     let error: Mutex<Option<CholeskyError>> = Mutex::new(None);
     let panel_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
     let update_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
-    let tiles: Vec<Mutex<TileCols<'_>>> =
+    let tiles: Vec<Mutex<TileCols<'_, E>>> =
         split_tiles_at(a, &bounds).into_iter().map(Mutex::new).collect();
     crate::dag::execute(builder, exec, &format!("cholesky n={n} b={block}"), |id| {
         let (grp, p) = task_of[id];
@@ -713,6 +720,40 @@ mod tests {
                 assert_eq!(timing.panel_s.len(), num_iterations(n, b));
             }
         }
+
+        // The f32 instantiation (the mixed-precision factorization): the hook sees
+        // every trailing tile, replays keep the bits, and L·Lᵀ reconstructs A and
+        // solves A x = b to f32 accuracy.
+        struct CountingHook(std::sync::atomic::AtomicUsize);
+        impl TrailingHook<f32> for CountingHook {
+            fn after_tile_update(
+                &self,
+                _: usize,
+                _: usize,
+                _: usize,
+                cols: &mut [&mut [f32]],
+            ) -> TileVerdict {
+                assert!(!cols.is_empty() && !cols[0].is_empty());
+                self.0.fetch_add(1, Ordering::Relaxed);
+                TileVerdict::Accept
+            }
+        }
+        let a = random_spd_matrix(&mut rng, 40).demote();
+        let hook = CountingHook(std::sync::atomic::AtomicUsize::new(0));
+        let mut pool = a.clone();
+        cholesky_dag_with(&mut pool, 8, &hook, DagExecution::Pool).unwrap();
+        assert!(hook.0.load(Ordering::Relaxed) > 0, "hook must see trailing tiles");
+        for seed in [0u64, 1, 2] {
+            let mut replayed = a.clone();
+            cholesky_dag_with(&mut replayed, 8, &(), DagExecution::Replay { seed }).unwrap();
+            assert_eq!(pool, replayed, "f32 replay differs seed={seed}");
+        }
+        let l = pool.lower_triangular();
+        let rec = gemm(&l, Trans::No, &l, Trans::Yes);
+        assert!(rec.approx_eq(&a, 1e-2), "f32 L*L^T must reconstruct A");
+        let b = Matrix::<f32>::from_fn(40, 2, |i, j| (i + j) as f32 / 40.0);
+        let x = crate::solve::cholesky_solve(&l, &b);
+        assert!(gemm(&a, Trans::No, &x, Trans::No).approx_eq(&b, 1e-2));
     }
 
     #[test]

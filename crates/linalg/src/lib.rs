@@ -19,7 +19,8 @@
 //!   persistent rayon pool, bit-identically to the synchronous paths, and
 //!   dependency-driven DAG drivers (`lu_dag` / `cholesky_dag` / `qr_dag`) that replace
 //!   the per-iteration barrier with per-tile dependency counters for depth-unbounded
-//!   lookahead — still bit-identical at any thread count,
+//!   lookahead — still bit-identical at any thread count; the LU and Cholesky DAG
+//!   drivers are generic over the element type (`f32` is the mixed-precision path),
 //! * [`task`] — the tile-column task machinery beneath the tiled drivers and the
 //!   [`task::TrailingHook`] fusion point ABFT checksum maintenance rides on,
 //! * [`dag`] — the dependency-counter runtime beneath the DAG drivers, including the
@@ -31,7 +32,8 @@
 //! * [`tune`] — the startup autotuner that picks cache-blocking parameters (`NC`, `KC`,
 //!   `MC`) and the pool-dispatch crossover per (host, element type), cached under
 //!   `target/` and disabled with `BSR_AUTOTUNE=0` for bit-reproducible runs,
-//! * [`lowprec`] — f32 blocked LU/Cholesky panels for the mixed-precision path,
+//! * [`lowprec`] — the f32 names of the mixed-precision path's factorizations (the
+//!   generic DAG drivers instantiated at `f32`),
 //! * [`solve`] — triangular-solve front-ends (`lu_solve` / `cholesky_solve`) shared by
 //!   the f64 and mixed-precision drivers,
 //! * [`generate`] — reproducible random inputs,

@@ -68,14 +68,17 @@ pub enum TileVerdict {
 /// `cols[jj]` is the mutable row range `[row0, rows)` of global column `col0 + jj`;
 /// implementations may correct elements in place but must confine themselves to the
 /// given slices (other regions of the matrix are concurrently owned by other tasks).
-pub trait TrailingHook: Sync {
+///
+/// `E` is the element type of the factorization the hook is fused into: `f64` by
+/// default, `f32` for the mixed-precision path's DAG drivers.
+pub trait TrailingHook<E: Element = f64>: Sync {
     /// Inspect (and possibly correct) one updated tile column group.
     fn after_tile_update(
         &self,
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict;
 
     /// Inspect a freshly factored lookahead panel (panel `iter + 1`, whose first
@@ -89,7 +92,7 @@ pub trait TrailingHook: Sync {
         _iter: usize,
         _col0: usize,
         _row0: usize,
-        _cols: &mut [&mut [f64]],
+        _cols: &mut [&mut [E]],
     ) -> TileVerdict {
         TileVerdict::Accept
     }
@@ -103,8 +106,8 @@ pub trait TrailingHook: Sync {
 }
 
 /// The no-op hook: the plain tiled drivers run with `&()`.
-impl TrailingHook for () {
-    fn after_tile_update(&self, _: usize, _: usize, _: usize, _: &mut [&mut [f64]]) -> TileVerdict {
+impl<E: Element> TrailingHook<E> for () {
+    fn after_tile_update(&self, _: usize, _: usize, _: usize, _: &mut [&mut [E]]) -> TileVerdict {
         TileVerdict::Accept
     }
 }

@@ -22,14 +22,19 @@
 //! The fused-checksum property additionally rides `bsr-abft`'s fault injection
 //! through the DAG: planned faults strike mid-schedule, Full checksums correct them,
 //! and the corrected factors plus the injection/verification tallies must be
-//! identical across every schedule and thread count.
+//! identical across every schedule and thread count — at f64, and at f32 (the
+//! mixed-precision path's LU and Cholesky, protected through the hook's f64
+//! promotion), where the promoted factors must also reconstruct the input to f32
+//! accuracy.
 
 use bsr_abft::checksum::ChecksumScheme;
 use bsr_abft::fused::{FusedTileChecksums, PerIterationChecksums, PlannedFault};
 use bsr_linalg::dag::{last_run_stats, DagExecution, DagRunStats};
+use bsr_linalg::elem::Element;
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::Matrix;
-use bsr_linalg::{cholesky, lu, qr};
+use bsr_linalg::task::TrailingHook;
+use bsr_linalg::{blas3, cholesky, lu, qr, Trans};
 use hetero_sim::sdc::ErrorPattern;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -154,16 +159,21 @@ proptest! {
     }
 }
 
-/// One ABFT-fused DAG run: fresh per-iteration hooks (hooks are stateful), the
-/// factorization, and everything that must be schedule-independent about it.
-fn fused_lu_run(
-    a: &Matrix,
+/// Everything that must be schedule-independent about one ABFT-fused DAG run: the
+/// factorization result, the injected-fault count, the (0-d, 1-d, uncorrectable)
+/// verification tallies, and the runtime's exactly-once stats.
+type FusedRun<F> = (Result<F, String>, usize, (usize, usize, usize), DagRunStats);
+
+/// One ABFT-fused DAG run at element type `E`: fresh per-iteration Full-checksum
+/// hooks (hooks are stateful) carrying `faults`, then `factor` under the watchdog.
+fn fused_run<E: Element, F: Send + 'static>(
+    a: &Matrix<E>,
     block: usize,
     faults: &[(usize, PlannedFault)],
-    exec: DagExecution,
     threads: Option<usize>,
     label: String,
-) -> (Result<lu::LuFactors, String>, usize, (usize, usize, usize), DagRunStats) {
+    factor: impl FnOnce(Matrix<E>, &PerIterationChecksums) -> Result<F, String> + Send + 'static,
+) -> FusedRun<F> {
     let iterations = a.rows().div_ceil(block);
     let mut per_iter: Vec<Vec<PlannedFault>> = vec![Vec::new(); iterations];
     for (k, f) in faults {
@@ -177,9 +187,7 @@ fn fused_lu_run(
     let input = a.clone();
     with_watchdog(label, move || {
         let _guard = threads.map(ThreadCountGuard::set);
-        let result = lu::lu_dag_with(&input, block, &hook, exec)
-            .map(|(f, _)| f)
-            .map_err(|e| e.to_string());
+        let result = factor(input, &hook);
         let outcome = hook.outcome();
         let tally = (outcome.corrected_0d, outcome.corrected_1d, outcome.uncorrectable);
         (
@@ -189,6 +197,70 @@ fn fused_lu_run(
             last_run_stats().expect("run must record stats"),
         )
     })
+}
+
+/// [`fused_run`] of the DAG LU.
+fn fused_lu_run<E: Element>(
+    a: &Matrix<E>,
+    block: usize,
+    faults: &[(usize, PlannedFault)],
+    exec: DagExecution,
+    threads: Option<usize>,
+    label: String,
+) -> FusedRun<lu::LuFactors<E>>
+where
+    PerIterationChecksums: TrailingHook<E>,
+{
+    fused_run(a, block, faults, threads, label, move |input, hook| {
+        lu::lu_dag_with(&input, block, hook, exec).map(|(f, _)| f).map_err(|e| e.to_string())
+    })
+}
+
+/// [`fused_run`] of the DAG Cholesky; the result is the factored storage.
+fn fused_cholesky_run<E: Element>(
+    a: &Matrix<E>,
+    block: usize,
+    faults: &[(usize, PlannedFault)],
+    exec: DagExecution,
+    threads: Option<usize>,
+    label: String,
+) -> FusedRun<Matrix<E>>
+where
+    PerIterationChecksums: TrailingHook<E>,
+{
+    fused_run(a, block, faults, threads, label, move |mut m, hook| {
+        cholesky::cholesky_dag_with(&mut m, block, hook, exec)
+            .map(|_| m)
+            .map_err(|e| e.to_string())
+    })
+}
+
+/// Run `run` under every schedule and require its result (compared by `same`),
+/// fault count and tallies to equal the first replay's, with exactly-once
+/// execution; returns that baseline.
+fn assert_schedule_independent<F>(
+    seed: u64,
+    what: &str,
+    run: impl Fn(DagExecution, Option<usize>, String) -> FusedRun<F>,
+    same: impl Fn(&F, &F) -> bool,
+) -> FusedRun<F> {
+    let baseline_label = format!("{what} baseline");
+    let replay = DagExecution::Replay { seed: seed.wrapping_mul(31) };
+    let baseline = run(replay, None, baseline_label.clone());
+    assert_exactly_once(baseline.3, &baseline_label);
+    for (exec, threads, desc) in schedules(seed.wrapping_add(97)) {
+        let label = format!("{what} {desc}");
+        let r = run(exec, threads, label.clone());
+        assert_exactly_once(r.3, &label);
+        assert_eq!(r.1, baseline.1, "injected-fault tallies differ ({label})");
+        assert_eq!(r.2, baseline.2, "verification tallies differ ({label})");
+        match (&r.0, &baseline.0) {
+            (Ok(f), Ok(bf)) => assert!(same(f, bf), "corrected factors differ ({label})"),
+            (Err(e), Err(be)) => assert_eq!(e, be, "errors differ ({label})"),
+            _ => panic!("outcome differs from baseline ({label})"),
+        }
+    }
+    baseline
 }
 
 proptest! {
@@ -256,6 +328,51 @@ proptest! {
                 (Err(e), Err(be)) => prop_assert_eq!(e, be, "errors differ ({})", &label),
                 other => prop_assert!(false, "outcome differs from baseline: {:?}", other),
             }
+        }
+
+        // The same plan at f32, the mixed-precision factorization: LU on the demoted
+        // input, Cholesky on a demoted SPD input with the plan moved onto its lower
+        // staircase (Cholesky tiles start at their own column). Corrected factors,
+        // fault counts and tallies must be schedule-independent, and clean-verified
+        // factors must reconstruct the input to f32 accuracy once promoted.
+        let f32_tol = |m: &Matrix| 1e-4 * n as f64 * m.max_abs().max(1.0);
+        let a32 = a.demote();
+        let lu32 = assert_schedule_independent(
+            seed,
+            &format!("fused-lu-f32 n={n} b={b}"),
+            |exec, threads, label| fused_lu_run(&a32, b, &faults, exec, threads, label),
+            |f, bf| f.lu == bf.lu && f.pivots == bf.pivots,
+        );
+        prop_assert!(lu32.1 >= 1, "at least one planned f32 fault must fire");
+        if let (Ok(f), 0) = (&lu32.0, lu32.2.2) {
+            let rec = blas3::gemm(&f.l().promote(), Trans::No, &f.u().promote(), Trans::No);
+            let pa = f.apply_permutation(&a32).promote();
+            prop_assert!(rec.approx_eq(&pa, f32_tol(&pa)), "f32 L*U does not reconstruct P*A");
+        }
+
+        let spd32 = random_spd_matrix(&mut rng, n).demote();
+        let mut chol_faults = vec![(0usize, PlannedFault::tile(b, b, ErrorPattern::ZeroD, seed))];
+        for &(k, f) in &faults[1..] {
+            let row = f.row.max(f.col);
+            if !chol_faults.iter().any(|(fk, g)| *fk == k && g.row == row && g.col == f.col) {
+                chol_faults.push((k, PlannedFault { row, ..f }));
+            }
+        }
+        let chol32 = assert_schedule_independent(
+            seed,
+            &format!("fused-cholesky-f32 n={n} b={b}"),
+            |exec, threads, label| {
+                fused_cholesky_run(&spd32, b, &chol_faults, exec, threads, label)
+            },
+            |m, bm| m == bm,
+        );
+        prop_assert!(chol32.1 >= 1, "at least one planned f32 Cholesky fault must fire");
+        prop_assert!(chol32.2.0 + chol32.2.1 >= 1, "no f32 Cholesky correction recorded");
+        if let (Ok(m), 0) = (&chol32.0, chol32.2.2) {
+            let l = m.lower_triangular().promote();
+            let rec = blas3::gemm(&l, Trans::No, &l, Trans::Yes);
+            let a64 = spd32.promote();
+            prop_assert!(rec.approx_eq(&a64, f32_tol(&a64)), "f32 L*L^T does not reconstruct A");
         }
     }
 }
