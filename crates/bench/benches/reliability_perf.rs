@@ -54,7 +54,11 @@ use std::collections::HashMap;
 use bsr_abft::checksum::ChecksumScheme;
 use bsr_abft::recover::{RecoveryAction, RecoveryPolicy};
 use bsr_core::config::{AbftMode, RunConfig};
-use bsr_core::numeric::{protected_tiles, run_numeric, NumericError};
+use bsr_core::numeric::{
+    generate_input, protected_tiles, run_numeric, run_numeric_on, NumericError, NumericFactors,
+};
+use bsr_linalg::matrix::Matrix;
+use bsr_linalg::verify;
 use bsr_sched::strategy::{BsrConfig, Strategy};
 use bsr_sched::workload::Decomposition;
 use hetero_sim::sdc::FaultMix;
@@ -150,6 +154,7 @@ struct Cell {
     in_place_corrections: usize,
     tile_recomputes: usize,
     replays: usize,
+    /// Mean exact residual (the `verify::*_residual` oracle) of the clean trials.
     mean_clean_residual: f64,
     median_makespan_s: f64,
     /// Median makespan relative to the fault-free baseline of the same
@@ -240,7 +245,8 @@ fn run_cell(
         let cfg = chaos_cfg(dec, n, b, scheme, rate, feedback, 1000 + t as u64)
             .with_fault_mix(mix)
             .with_recovery(policy);
-        match run_numeric(cfg) {
+        let input = generate_input(&cfg);
+        match run_numeric_on(cfg, &input) {
             Ok(out) => {
                 makespans.push(out.measured_makespan_s());
                 cell.faults_injected += out.faults_injected;
@@ -263,7 +269,7 @@ fn run_cell(
                     .count();
                 if out.numerically_correct && out.verification.uncorrectable == 0 {
                     cell.clean += 1;
-                    residuals.push(out.residual);
+                    residuals.push(exact_residual(&input, &out.factors));
                 } else {
                     cell.silent += 1;
                 }
@@ -289,6 +295,17 @@ fn run_cell(
     cell.median_makespan_s = median(makespans);
     cell.overhead_vs_fault_free = cell.median_makespan_s / baseline - 1.0;
     cell
+}
+
+/// The exact O(n³) residual oracle, run off the job path: `mean_clean_residual`
+/// reports the reconstructed `‖A − F‖_F / ‖A‖_F`, not the run's probed estimate.
+fn exact_residual(input: &Matrix, factors: &NumericFactors) -> f64 {
+    match factors {
+        NumericFactors::Cholesky(m) => verify::cholesky_residual(input, &m.lower_triangular()),
+        NumericFactors::Lu(f) => verify::lu_residual(input, f),
+        NumericFactors::Qr(f) => verify::qr_residual(input, f),
+        other => unreachable!("the chaos campaigns run at f64, got {other:?}"),
+    }
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {

@@ -57,7 +57,8 @@ pub struct JobHandle {
 impl JobHandle {
     /// Bind `cfg` and `input` under an existing job id (the service path: the id
     /// was allocated at admission). Fails with [`NumericError::ShapeMismatch`]
-    /// when the input is not the square `n × n` matrix the workload describes.
+    /// when the input is not the square `n × n` matrix the workload describes, and
+    /// with [`NumericError::NonFiniteInput`] when it holds a NaN or infinite entry.
     pub fn new(id: JobId, cfg: RunConfig, input: Matrix) -> Result<Self, NumericError> {
         let n = cfg.workload.n;
         if !input.is_square() || input.rows() != n {
@@ -66,6 +67,9 @@ impl JobHandle {
                 cols: input.cols(),
                 expected: n,
             });
+        }
+        if let Some(k) = input.data().iter().position(|v| !v.is_finite()) {
+            return Err(NumericError::NonFiniteInput { row: k % n, col: k / n });
         }
         Ok(JobHandle { id, cfg, input })
     }
@@ -158,7 +162,7 @@ pub enum JobVerdict {
     /// The run failed *structurally* ([`NumericError::UnrecoverableFault`]): the
     /// recovery ladder was exhausted and said so, with history.
     StructuredFailure,
-    /// Any other error (singular input, unsupported path).
+    /// Any other error (non-finite or singular input, unsupported path).
     Aborted,
 }
 
@@ -382,9 +386,7 @@ fn run_one(shared: &Shared, service: &ServiceConfig, t0: Instant, batch: u64, jo
     let input = numeric::generate_input(&effective_cfg);
     let dispatch_s = t0.elapsed().as_secs_f64();
     let run_t0 = Instant::now();
-    let result = JobHandle::new(job.id, effective_cfg.clone(), input)
-        .expect("generated input always matches the workload shape")
-        .run();
+    let result = JobHandle::new(job.id, effective_cfg.clone(), input).and_then(|h| h.run());
     let run_s = run_t0.elapsed().as_secs_f64();
     let done_s = t0.elapsed().as_secs_f64();
     shared.inflight.lock().unwrap().retain(|j| j.id != job.id);
@@ -505,5 +507,20 @@ mod tests {
         let report = run_service(&service, specs);
         assert_eq!(report.outcomes.len() + report.rejected, 12);
         assert_eq!(report.silent_corruptions(), 0);
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_at_the_handle_and_aborted() {
+        let cfg = small_spec(7, JobClass::Throughput).cfg;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut input = numeric::generate_input(&cfg);
+            input.set(5, 9, bad);
+            let result = JobHandle::solo(cfg.clone(), input).and_then(|h| h.run());
+            assert!(
+                matches!(result, Err(NumericError::NonFiniteInput { row: 5, col: 9 })),
+                "{bad}: {result:?}"
+            );
+            assert_eq!(classify(&result), JobVerdict::Aborted);
+        }
     }
 }

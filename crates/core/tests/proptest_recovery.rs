@@ -25,7 +25,11 @@
 //! * mixed-precision runs (LU and Cholesky at f32 on the DAG runtime, same plan,
 //!   same ladder) either return factors whose f64 refinement converged — or that
 //!   came from the f64 fallback — with a clean final verification, or fail
-//!   structurally; never `Ok` with `numerically_correct = false`.
+//!   structurally; never `Ok` with `numerically_correct = false`;
+//! * every f64 run that returns factors, recovery on or off, is graded the same by
+//!   the engine's O(n²) probed certificate (`numerically_correct`) and by the exact
+//!   O(n³) residual oracle (`verify::*_residual`): in particular, every silent
+//!   corruption the oracle sees, the certificate flags.
 //!
 //! The campaign *must* overclock: SDC rates are identically zero under the
 //! default guardband (`SdcModel::rate` models the paper's stock machine as
@@ -45,6 +49,7 @@ use bsr_core::config::{AbftMode, Precision, RunConfig};
 use bsr_core::numeric::{run_numeric_on, NumericError, NumericFactors, NumericRunReport};
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::Matrix;
+use bsr_linalg::verify::{self, CORRECTNESS_THRESHOLD};
 use bsr_linalg::{cholesky, lu, qr};
 use bsr_sched::strategy::{BsrConfig, Strategy as EnergyStrategy};
 use bsr_sched::workload::Decomposition;
@@ -154,6 +159,32 @@ fn clean_reference(dec: Decomposition, input: &Matrix, b: usize) -> CleanReferen
     }
 }
 
+/// The exact O(n³) residual of an f64 run's factors: the oracle the engine's
+/// probed certificate is checked against.
+fn oracle_residual(input: &Matrix, factors: &NumericFactors, label: &str) -> f64 {
+    match factors {
+        NumericFactors::Cholesky(m) => verify::cholesky_residual(input, &m.lower_triangular()),
+        NumericFactors::Lu(f) => verify::lu_residual(input, f),
+        NumericFactors::Qr(f) => verify::qr_residual(input, f),
+        other => panic!("{label}: the oracle grades f64 factors, got {other:?}"),
+    }
+}
+
+/// The agreement property for one f64 run that returned factors: the certificate
+/// behind `numerically_correct` and the exact oracle reach the same verdict.
+/// Returns whether the oracle saw a corruption (which the certificate then flagged).
+fn assert_certificate_agrees(out: &NumericRunReport, input: &Matrix, label: &str) -> bool {
+    let exact = oracle_residual(input, &out.factors, label);
+    let oracle_correct = exact < CORRECTNESS_THRESHOLD;
+    assert_eq!(
+        out.numerically_correct,
+        oracle_correct,
+        "{label}: certificate {:.3e} and oracle {exact:.3e} disagree",
+        out.residual
+    );
+    !oracle_correct
+}
+
 /// One watched run (shared DAG watchdog — a recovery bug that strands a retried
 /// task would otherwise hang CI silently).
 fn run_watched(
@@ -178,11 +209,13 @@ enum Outcome {
 
 fn classify(
     result: Result<NumericRunReport, NumericError>,
+    input: &Matrix,
     reference: &CleanReference,
     label: &str,
 ) -> Outcome {
     match result {
         Ok(out) => {
+            assert_certificate_agrees(&out, input, label);
             // The never-silently-corrupted contract, strict form: a run that
             // *returns* factors must have fully healed — clean final
             // verification, healthy residual, and bits identical to the clean
@@ -258,7 +291,8 @@ proptest! {
                 let _guard = ThreadCountGuard::set(t);
                 let label = format!("recovery {dec:?} n={n} b={b} {runtime} t={t}");
                 let cfg = chaos_cfg(dec, n, b, seed, feedback);
-                let outcome = classify(run_watched(cfg, &input, label.clone()), &reference, &label);
+                let outcome =
+                    classify(run_watched(cfg, &input, label.clone()), &input, &reference, &label);
                 // Cross-thread determinism holds only on the DAG runtime: with
                 // measured feedback the BSR planner — and therefore the sampled
                 // fault schedule — sees host wall-clock noise, so stepped runs
@@ -466,7 +500,7 @@ proptest! {
                     Ok(out) => out,
                     Err(e) => panic!("{label}: check strikes are always recoverable, got {e}"),
                 };
-                match classify(Ok(out.clone()), &reference, &label) {
+                match classify(Ok(out.clone()), &input, &reference, &label) {
                     Outcome::Recovered { .. } => {}
                     Outcome::Failed { .. } => unreachable!(),
                 }
@@ -523,6 +557,7 @@ proptest! {
                     Err(e) => panic!("{label}: in-capacity grids must be absorbed, got {e}"),
                 };
                 prop_assert!(out.numerically_correct, "{}: residual {:.3e}", &label, out.residual);
+                assert_certificate_agrees(&out, &input, &label);
                 prop_assert_eq!(out.verification.uncorrectable, 0, "{}", &label);
                 if out.faults_injected > 0 {
                     prop_assert!(
@@ -560,6 +595,109 @@ proptest! {
     }
 }
 
+/// Every chaos mix the campaigns above draw from, each under the scheme it is
+/// aimed at, plus plain tile-data strikes with no checksums at all — the case where
+/// only the final verdict can see the corruption.
+fn agreement_mixes() -> [(&'static str, ChecksumScheme, FaultMix); 5] {
+    [
+        ("uncorrectable", ChecksumScheme::Full, uncorrectable_mix()),
+        ("data", ChecksumScheme::Full, FaultMix::default()),
+        ("data-unprotected", ChecksumScheme::None, FaultMix::default()),
+        ("checksum", ChecksumScheme::Multi(2), FaultMix { checksum: 1.0, ..FaultMix::default() }),
+        ("grid3", ChecksumScheme::Multi(2), FaultMix::grid_storm(3)),
+    ]
+}
+
+/// One run of the agreement sweep. Returns whether it returned factors the oracle
+/// found corrupted (after asserting the certificate flagged them too).
+fn agreement_run(cfg: RunConfig, input: &Matrix, label: String) -> bool {
+    match run_watched(cfg, input, label.clone()) {
+        Ok(out) => assert_certificate_agrees(&out, input, &label),
+        // Structured failures, and — with recovery off — corrupted panels that
+        // stop the factorization, return no factors to grade.
+        Err(_) => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The certificate-vs-oracle agreement property over every chaos mix, recovery
+    /// on and off, both runtimes and every thread count: each f64 run that returns
+    /// factors is judged `numerically_correct` exactly when the O(n³) oracle
+    /// residual is below the threshold.
+    #[test]
+    fn certificate_agrees_with_the_residual_oracle(
+        (bi, tiles, seed) in (0usize..2, 3usize..6, any::<u64>()),
+        dec_idx in 0usize..3,
+    ) {
+        let dec = Decomposition::ALL[dec_idx];
+        let b = [8usize, 16][bi];
+        let n = b * tiles;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let input = match dec {
+            Decomposition::Cholesky => random_spd_matrix(&mut rng, n),
+            _ => random_matrix(&mut rng, n, n),
+        };
+        for (class, scheme, mix) in agreement_mixes() {
+            for recovery in [true, false] {
+                for feedback in [false, true] {
+                    for threads in THREADS {
+                        let _guard = ThreadCountGuard::set(threads);
+                        let label = format!(
+                            "agreement {class} {dec:?} n={n} b={b} recovery={recovery} \
+                             feedback={feedback} t={threads}"
+                        );
+                        let mut cfg = in_place_cfg(dec, n, b, seed, feedback, scheme, mix);
+                        if !recovery {
+                            cfg.recovery = RecoveryPolicy::default();
+                        }
+                        agreement_run(cfg, &input, label);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The agreement sweep's vacuity guard: with recovery off, fixed seeds on the
+/// deterministic DAG runtime must return factors the oracle finds corrupted — and
+/// the certificate must flag every one of them — for each decomposition, under
+/// both the unprotected and the uncorrectable mix.
+#[test]
+fn certificate_flags_every_silent_corruption_the_oracle_sees() {
+    for dec in Decomposition::ALL {
+        // The other mixes are corrected in place or strike only check vectors,
+        // which leaves the oracle nothing to see with recovery off.
+        let silent = agreement_mixes()
+            .into_iter()
+            .filter(|(class, ..)| matches!(*class, "uncorrectable" | "data-unprotected"));
+        for (class, scheme, mix) in silent {
+            let mut caught = 0usize;
+            for seed in 41u64..49 {
+                let (b, tiles) = ([8usize, 16][seed as usize % 2], 4 + seed as usize % 3);
+                let n = b * tiles;
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let input = match dec {
+                    Decomposition::Cholesky => random_spd_matrix(&mut rng, n),
+                    _ => random_matrix(&mut rng, n, n),
+                };
+                let mut cfg = chaos_cfg_for(dec, n, b, seed, false, scheme, mix);
+                cfg.recovery = RecoveryPolicy::default();
+                let label = format!("silent {class} {dec:?} n={n} b={b} seed={seed}");
+                if agreement_run(cfg, &input, label) {
+                    caught += 1;
+                }
+            }
+            assert!(
+                caught >= 3,
+                "{dec:?} under the {class} mix returned oracle-visible corruption in only \
+                 {caught}/8 recovery-off runs — the agreement sweep is (close to) vacuous"
+            );
+        }
+    }
+}
+
 /// Ragged (non-block-aligned) shapes: single-column trailing groups degenerate a
 /// burst into a correctable 1D pattern, so bit-exactness cannot be demanded — but
 /// the weaker contract still must hold: a returning run is numerically correct
@@ -584,6 +722,7 @@ fn ragged_shapes_are_never_silently_corrupted() {
             match run_watched(cfg, &input, label.clone()) {
                 Ok(out) => {
                     assert!(out.numerically_correct, "{label}: residual {:.3e}", out.residual);
+                    assert_certificate_agrees(&out, &input, &label);
                     assert_eq!(out.verification.uncorrectable, 0, "{label}");
                 }
                 Err(NumericError::UnrecoverableFault { history }) => {

@@ -37,7 +37,8 @@
 //! * [`solve`] — triangular-solve front-ends (`lu_solve` / `cholesky_solve`) shared by
 //!   the f64 and mixed-precision drivers,
 //! * [`generate`] — reproducible random inputs,
-//! * [`verify`] — residual checks used both in tests and in the reliability experiments.
+//! * [`verify`] — O(n²) probed residual certificates (the numeric engine's verdict)
+//!   and the exact O(n³) residual oracle the tests and benchmarks check them against.
 //!
 //! Paper-scale runs (n = 30720) still use the analytic performance model in `bsr-core`,
 //! but the numeric-mode experiments run on these real kernels — their throughput is

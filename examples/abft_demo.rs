@@ -25,7 +25,7 @@ fn run_with(scheme_label: &str, mode: AbftMode, rate: f64) {
     cfg.platform.gpu.sdc.one_d_base_rate_per_s = rate / 10.0;
     let out = run_numeric(cfg).expect("factorization failed");
     println!(
-        "{scheme_label:<22} faults={:<3} corrected(0D/1D)={:>2}/{:<2} uncorrectable={:<2} residual={:.2e}  correct={}",
+        "{scheme_label:<22} faults={:<3} corrected(0D/1D)={:>2}/{:<2} uncorrectable={:<2} probed residual={:.2e}  correct={}",
         out.faults_injected,
         out.verification.corrected_0d,
         out.verification.corrected_1d,

@@ -11,7 +11,7 @@ fn main() {
     let cfg = RunConfig::small(Decomposition::Lu, 512, 64, Strategy::Bsr(BsrConfig::with_ratio(0.25)));
     let numeric = run_numeric(cfg.clone()).expect("factorization failed");
     println!("numeric-mode LU, n = 512, block = 64, BSR r = 0.25");
-    println!("  residual              : {:.3e}", numeric.residual);
+    println!("  probed residual       : {:.3e}", numeric.residual);
     println!("  numerically correct   : {}", numeric.numerically_correct);
     println!("  faults injected       : {}", numeric.faults_injected);
     println!(
